@@ -29,7 +29,7 @@
 //! [`DiskBackend::net_stats`] into the store's `ReadStats`.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc;
@@ -315,7 +315,8 @@ impl MuxShared {
 /// frames under the writer lock; a demux thread reads responses and
 /// fires the matching callbacks as they land, whatever the order.
 struct MuxConn {
-    writer: Mutex<BufWriter<TcpStream>>,
+    /// Unbuffered: the encoder writes each frame in one vectored write.
+    writer: Mutex<TcpStream>,
     shared: Arc<MuxShared>,
     next_id: AtomicU64,
 }
@@ -388,7 +389,7 @@ impl MuxConn {
         let reader_shared = Arc::clone(&shared);
         std::thread::spawn(move || demux_loop(BufReader::new(reader), &reader_shared));
         Ok(Self {
-            writer: Mutex::new(BufWriter::new(stream)),
+            writer: Mutex::new(stream),
             shared,
             next_id: AtomicU64::new(1),
         })

@@ -245,7 +245,7 @@ impl FrontClient {
         self.dispatch(
             &req,
             |resp| match resp {
-                Response::ObjData(bytes) => Ok(bytes),
+                Response::ObjData(bytes) => Ok(bytes.into_vec()),
                 other => Err(unexpected(&other)),
             },
             |f| {

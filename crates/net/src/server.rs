@@ -25,7 +25,8 @@ use ecfrm_util::Mutex;
 use ecfrm_integrity::{verify_footer, HashKey};
 
 use crate::protocol::{
-    read_request_polling, write_response, CheckedElement, Fault, PolledRequest, Request, Response,
+    max_obj_reply, read_request_polling, write_response, CheckedElement, Fault, PolledRequest,
+    Request, Response,
 };
 
 /// How often blocked accept/read loops wake to check the stop flag.
@@ -286,8 +287,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// The writer half of a connection, shared between the inline request
 /// loop and any mux demux workers so id-tagged responses interleave
-/// without tearing frames.
-type SharedWriter = Arc<Mutex<std::io::BufWriter<TcpStream>>>;
+/// without tearing frames. Unbuffered: the encoder already writes each
+/// frame in one vectored write.
+type SharedWriter = Arc<Mutex<TcpStream>>;
 
 /// Count, time, handle, and write one request's response. Returns
 /// `false` if the response could not be written (connection is dead).
@@ -295,10 +297,11 @@ type SharedWriter = Arc<Mutex<std::io::BufWriter<TcpStream>>>;
 /// A panicking backend (e.g. an element-size mismatch on a file-backed
 /// shard) must surface as a wire-level error the client can count and
 /// report — not kill the connection and masquerade as a network fault.
-fn serve_one(req: &Request, mux_id: Option<u64>, shared: &Shared, writer: &SharedWriter) -> bool {
-    shared.metrics.count(req);
+fn serve_one(req: Request, mux_id: Option<u64>, shared: &Shared, writer: &SharedWriter) -> bool {
+    shared.metrics.count(&req);
     let t0 = std::time::Instant::now();
-    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(req, shared)))
+    let room = max_obj_reply(mux_id.is_some());
+    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(req, room, shared)))
         .unwrap_or_else(|payload| Response::Error(panic_message(payload.as_ref())));
     shared.metrics.serve_us.record_duration(t0.elapsed());
     let resp = match mux_id {
@@ -373,7 +376,7 @@ fn mux_worker(rx: &Mutex<Receiver<Request>>, shared: &Arc<Shared>, writer: &Shar
         // The envelope is counted here; `serve_one` counts the inner op
         // (it only ever sees the unwrapped request).
         shared.metrics.mux.inc();
-        if !serve_one(&inner, Some(id), shared, writer) {
+        if !serve_one(*inner, Some(id), shared, writer) {
             return; // dead socket: stop servicing this connection
         }
     }
@@ -387,7 +390,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let writer: SharedWriter = Arc::new(Mutex::new(std::io::BufWriter::new(stream)));
+    let writer: SharedWriter = Arc::new(Mutex::new(stream));
     // Spawned lazily on the first mux frame: plain sequential clients
     // never pay for the pool.
     let mut mux_pool: Option<MuxPool> = None;
@@ -412,7 +415,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             // Everything else keeps the one-at-a-time path: response
             // written before the next frame is read.
             req => {
-                if !serve_one(&req, None, shared, &writer) {
+                if !serve_one(req, None, shared, &writer) {
                     return;
                 }
             }
@@ -457,31 +460,33 @@ fn obj_result(
     }
 }
 
-fn handle(req: &Request, shared: &Shared) -> Response {
+/// Answer one request. `room` is the most object bytes an `ObjData`
+/// reply may carry and still fit one frame ([`max_obj_reply`]).
+fn handle(req: Request, room: u64, shared: &Shared) -> Response {
     match req {
         Request::GetElement { offset } => {
             straggle(shared);
-            Response::Element(shared.backend.read(*offset))
+            Response::Element(shared.backend.read(offset))
         }
         Request::PutElement { offset, bytes } => {
-            shared.backend.write(*offset, bytes.clone());
+            shared.backend.write(offset, bytes);
             Response::Put
         }
         Request::BatchGet { offsets } => {
             straggle(shared);
-            Response::Batch(shared.backend.read_many(offsets))
+            Response::Batch(shared.backend.read_many(&offsets))
         }
         Request::GetRange { offset, count } => {
             // Even an all-absent answer allocates per requested slot, so
             // bound the run length before touching the backend (a run
             // longer than this could not fit a reply frame anyway).
-            if *count > MAX_RANGE {
+            if count > MAX_RANGE {
                 return Response::Error(format!(
                     "range of {count} elements exceeds the {MAX_RANGE}-element cap"
                 ));
             }
             straggle(shared);
-            let offsets: Vec<u64> = (0..u64::from(*count)).map(|i| offset + i).collect();
+            let offsets: Vec<u64> = (0..u64::from(count)).map(|i| offset + i).collect();
             Response::Range(shared.backend.read_many(&offsets))
         }
         Request::RangeChecked {
@@ -490,14 +495,14 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             k0,
             k1,
         } => {
-            if *count > MAX_RANGE {
+            if count > MAX_RANGE {
                 return Response::Error(format!(
                     "range of {count} elements exceeds the {MAX_RANGE}-element cap"
                 ));
             }
             straggle(shared);
-            let key = HashKey { k0: *k0, k1: *k1 };
-            let offsets: Vec<u64> = (0..u64::from(*count)).map(|i| offset + i).collect();
+            let key = HashKey { k0, k1 };
+            let offsets: Vec<u64> = (0..u64::from(count)).map(|i| offset + i).collect();
             let items = shared
                 .backend
                 .read_many(&offsets)
@@ -527,16 +532,16 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             k0,
             k1,
             peers,
-        } => handle_combine(*offset, *count, *outputs, coeffs, *k0, *k1, peers, shared),
+        } => handle_combine(offset, count, outputs, &coeffs, k0, k1, &peers, shared),
         Request::ObjCreate { tenant, object } => obj_result(shared, |f| {
-            f.create(tenant, object).map(|()| Response::ObjAck)
+            f.create(&tenant, &object).map(|()| Response::ObjAck)
         }),
         Request::ObjWrite {
             tenant,
             object,
             bytes,
         } => obj_result(shared, |f| {
-            f.write(tenant, object, bytes).map(|()| Response::ObjAck)
+            f.write(&tenant, &object, &bytes).map(|()| Response::ObjAck)
         }),
         Request::ObjGet {
             tenant,
@@ -546,23 +551,35 @@ fn handle(req: &Request, shared: &Shared) -> Response {
         } => obj_result(shared, |f| {
             // `u64::MAX` is the wire encoding of "to the end": resolve
             // it against the current length so the range check passes.
-            let len = if *len == u64::MAX {
-                f.stat(tenant, object)?.len.saturating_sub(*start)
+            let len = if len == u64::MAX {
+                f.stat(&tenant, &object)?.len.saturating_sub(start)
             } else {
-                *len
+                len
             };
-            f.read_range(tenant, object, *start, len)
+            // A reply that cannot fit one frame would be read in full
+            // and then fail to send, dropping the connection. Refuse it
+            // up front — before admission spends budget and before any
+            // element is read.
+            if len > room {
+                return Err(ecfrm_store::StoreError::RangeOutOfBounds {
+                    name: format!(
+                        "{tenant}/{object} (a {len}-byte read exceeds the {room}-byte reply frame)"
+                    ),
+                    len: f.stat(&tenant, &object)?.len,
+                });
+            }
+            f.read_slices(&tenant, &object, start, len)
                 .map(Response::ObjData)
         }),
         Request::ObjStat { tenant, object } => obj_result(shared, |f| {
-            f.stat(tenant, object).map(|s| Response::ObjStat {
+            f.stat(&tenant, &object).map(|s| Response::ObjStat {
                 len: s.len,
                 version: s.version,
                 extents: s.extents as u32,
             })
         }),
         Request::ObjDelete { tenant, object } => obj_result(shared, |f| {
-            f.delete(tenant, object).map(|()| Response::ObjAck)
+            f.delete(&tenant, &object).map(|()| Response::ObjAck)
         }),
         Request::Health => Response::Health {
             elements: shared.backend.len() as u64,
@@ -572,7 +589,7 @@ fn handle(req: &Request, shared: &Shared) -> Response {
                 Fault::Fail => shared.backend.fail(),
                 Fault::Heal => shared.backend.heal(),
                 Fault::Wipe => shared.backend.wipe(),
-                Fault::DelayMs(ms) => shared.read_delay_ms.store(*ms, Ordering::Release),
+                Fault::DelayMs(ms) => shared.read_delay_ms.store(ms, Ordering::Release),
             }
             Response::FaultInjected
         }
@@ -1161,6 +1178,61 @@ mod tests {
             rpc(&mut c, &Request::GetElement { offset: 0 }),
             Response::Element(Some(vec![2; 8]))
         );
+    }
+
+    /// A peer that starts a frame and stalls loses its connection once
+    /// the frame deadline passes, and never blocks other clients.
+    #[test]
+    fn stalled_frame_is_dropped_at_the_deadline() {
+        use crate::protocol::{FRAME_DEADLINE, MAGIC, VERSION};
+        use std::io::{Read, Write};
+
+        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
+        let mut slow = dial(&server);
+        slow.set_read_timeout(Some(FRAME_DEADLINE + Duration::from_secs(5)))
+            .unwrap();
+        // A well-formed start of a 1 MiB `PutElement` frame — offset,
+        // element length, first bytes: 100 payload bytes in all.
+        let len = 1u32 << 20;
+        let mut start = MAGIC.to_vec();
+        start.extend_from_slice(&[VERSION, 2]);
+        start.extend_from_slice(&len.to_le_bytes());
+        start.extend_from_slice(&0u64.to_le_bytes());
+        start.extend_from_slice(&(len - 12).to_le_bytes());
+        start.extend_from_slice(&[7; 88]);
+        slow.write_all(&start).unwrap();
+        let t0 = std::time::Instant::now();
+
+        // Meanwhile the server keeps serving everyone else.
+        let mut other = dial(&server);
+        for _ in 0..5 {
+            assert!(matches!(
+                rpc(&mut other, &Request::Health),
+                Response::Health { .. }
+            ));
+            std::thread::sleep(Duration::from_millis(200));
+        }
+
+        // The stalled connection is closed (EOF or reset), not answered.
+        let mut byte = [0u8; 1];
+        match slow.read(&mut byte) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("stalled connection not closed: {other:?}"),
+        }
+        let waited = t0.elapsed();
+        assert!(
+            waited >= FRAME_DEADLINE - Duration::from_millis(500),
+            "{waited:?}"
+        );
+        assert!(
+            waited < FRAME_DEADLINE + Duration::from_secs(2),
+            "{waited:?}"
+        );
+        assert!(matches!(
+            rpc(&mut other, &Request::Health),
+            Response::Health { .. }
+        ));
     }
 
     #[test]

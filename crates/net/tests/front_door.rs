@@ -251,7 +251,7 @@ fn spawn_slow_server(
                     },
                     Request::ObjGet { .. } => {
                         std::thread::sleep(get_delay);
-                        Response::ObjData(vec![7; 8])
+                        Response::ObjData(vec![7; 8].into())
                     }
                     Request::ObjWrite { .. } => {
                         writes.fetch_add(1, Ordering::SeqCst);
@@ -401,4 +401,63 @@ fn mixed_version_cluster_stays_byte_correct_through_fallback() {
     // buffer: at least one shard holds sealed elements.
     let held: usize = shards.iter().map(|(_, mem)| mem.len()).sum();
     assert!(held > 0, "sealed stripes must land on the shard nodes");
+}
+
+/// A read whose reply cannot fit one frame — here "to the end" of a
+/// 65 MiB object — is refused with a typed range error before
+/// admission and before any element is read, and the connection stays
+/// usable: no 65 MiB read, no failed frame write, no dropped connection
+/// and no retry.
+#[test]
+fn oversized_object_read_refused_before_admission() {
+    use ecfrm_net::protocol::max_obj_reply;
+
+    const BIG: usize = 65 << 20;
+    let store = Arc::new(ObjectStore::new(scheme(), 1 << 20));
+    let front = FrontDoor::new(store, FrontConfig::default());
+    let big = payload(BIG);
+    front.put("t", "big", &big[..BIG / 2]).unwrap();
+    front.write("t", "big", &big[BIG / 2..]).unwrap();
+    let mut server =
+        ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
+            .unwrap();
+    let client = FrontClient::new(server.addr(), client_cfg());
+    let counter = |name: &str| {
+        front
+            .store()
+            .recorder()
+            .snapshot()
+            .flatten()
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| v)
+    };
+    let (reads, admitted) = (counter("reads"), counter("admit.ok"));
+
+    let room = max_obj_reply(false);
+    for result in [
+        client.read("t", "big"),
+        client.read_range("t", "big", 0, room + 1),
+    ] {
+        match result {
+            Err(StoreError::RangeOutOfBounds { name, len }) => {
+                assert_eq!(len, BIG as u64);
+                assert!(name.contains("reply frame"), "{name}");
+            }
+            other => panic!("expected a typed range error, got {other:?}"),
+        }
+    }
+    assert_eq!(counter("reads"), reads, "no element was read");
+    assert_eq!(counter("admit.ok"), admitted, "nothing was admitted");
+    assert_eq!(counter("tenant.t.reads"), 0);
+
+    // Same client, same pooled connection: a read that fits still works.
+    assert_eq!(
+        client
+            .read_range("t", "big", BIG as u64 - 5_000, 5_000)
+            .unwrap(),
+        &big[BIG - 5_000..]
+    );
+    assert!(client.remote_enabled());
+    server.kill();
 }

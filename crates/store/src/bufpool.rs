@@ -1,12 +1,13 @@
 //! A small thread-local buffer pool for the store's hot loops.
 //!
-//! The scrub and read paths churn through element-sized `Vec<u8>`
-//! scratch buffers: scrub re-derives every group's parities, and a range
-//! read receives one owned region per element only to copy a byte range
-//! out and drop them. Routing those buffers through a per-thread
-//! free list turns the steady state allocation-free — each loop
-//! iteration reuses the previous iteration's capacity instead of going
-//! back to the allocator.
+//! Scrub churns through element-sized `Vec<u8>` scratch buffers: it
+//! re-derives every group's parities and drops each stripe's cells once
+//! checked. Routing those buffers through a per-thread free list turns
+//! the steady state allocation-free — each loop iteration reuses the
+//! previous iteration's capacity instead of going back to the
+//! allocator. Scrub is the pool's only user: the read path hands its
+//! element buffers to the caller (the front door caches them as they
+//! are), so it has nothing to retire.
 //!
 //! The pool is deliberately modest: a bounded `thread_local!` stack of
 //! retired buffers, no cross-thread sharing, no size classes. Buffers

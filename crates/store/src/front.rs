@@ -75,6 +75,7 @@ use ecfrm_obs::{Counter, Gauge, Recorder};
 use ecfrm_util::{Mutex, TokenBucket};
 
 use crate::meta::{ExtentRecord, ObjectMeta, ObjectStat};
+use crate::slices::Slices;
 use crate::store::{ObjectStore, ReadOpts, StripeEvent};
 use crate::StoreError;
 
@@ -714,7 +715,8 @@ impl FrontDoor {
     }
 
     /// Read `len` bytes of an object starting at byte `start`,
-    /// read-through the decoded-element cache.
+    /// read-through the decoded-element cache, as one buffer: the
+    /// flattened [`Self::read_slices`].
     ///
     /// # Errors
     /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
@@ -726,6 +728,26 @@ impl FrontDoor {
         start: u64,
         len: u64,
     ) -> Result<Vec<u8>, StoreError> {
+        Ok(self.read_slices(tenant, object, start, len)?.into_vec())
+    }
+
+    /// Read `len` bytes of an object starting at byte `start`,
+    /// read-through the decoded-element cache, without concatenating:
+    /// the answer is a list of ranges into the element buffers
+    /// themselves — cache hits, and fresh misses that entered the cache
+    /// by reference, not by copy. A server writes these slices straight
+    /// to the socket.
+    ///
+    /// # Errors
+    /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
+    /// [`StoreError::Throttled`], or any store read error.
+    pub fn read_slices(
+        &self,
+        tenant: &str,
+        object: &str,
+        start: u64,
+        len: u64,
+    ) -> Result<Slices, StoreError> {
         let t = self.tenant(tenant);
         let rec = {
             let ns = self.namespace.lock();
@@ -744,12 +766,9 @@ impl FrontDoor {
         // Admit only after the request is known valid, so NotFound /
         // RangeOutOfBounds traffic cannot throttle a tenant.
         self.admit(&t, len)?;
-        let mut out = vec![0u8; len as usize];
-        let mut filled = 0usize;
+        let mut out = Slices::default();
         for (extent, off, run) in rec.slices(start, len) {
-            let dst = &mut out[filled..filled + run as usize];
-            self.read_extent_cached(extent, off, run, dst)?;
-            filled += run as usize;
+            self.read_extent_cached(extent, off, run, &mut out)?;
         }
         t.reads.inc();
         t.read_bytes.add(len);
@@ -808,16 +827,17 @@ impl FrontDoor {
         (self.cache.hits.get(), self.cache.misses.get())
     }
 
-    /// Fill `out` with `run` bytes starting `off` into `extent`,
+    /// Append `run` bytes starting `off` into `extent` to `out`,
     /// serving whole decoded elements from the cache and batch-reading
     /// contiguous miss runs through the planner (avoiding the hottest
-    /// disk when one stands out).
+    /// disk when one stands out). Every element — hit or miss — is
+    /// appended by reference.
     fn read_extent_cached(
         &self,
         extent: ObjectMeta,
         off: u64,
         run: u64,
-        out: &mut [u8],
+        out: &mut Slices,
     ) -> Result<(), StoreError> {
         let es = self.store.element_size() as u64;
         let abs = ObjectMeta {
@@ -825,51 +845,42 @@ impl FrontDoor {
             len: run,
         };
         let (first, last) = abs.element_range(self.store.element_size());
-        // Object-relative copy helper: element `e`'s payload overlaps
-        // `out` at stream bytes [max(e*es, abs.offset), min((e+1)*es,
-        // abs end)).
-        let copy_into = |out: &mut [u8], e: u64, payload: &[u8]| {
+        let mut got: Vec<Option<Arc<Vec<u8>>>> = (first..last).map(|e| self.cache.get(e)).collect();
+        if got.iter().any(Option::is_none) {
+            let dps = self.store.scheme().data_per_stripe() as u64;
+            let opts = self.read_opts();
+            // Batch contiguous miss runs into single planned reads.
+            let mut i = 0;
+            while i < got.len() {
+                if got[i].is_some() {
+                    i += 1;
+                    continue;
+                }
+                let mut j = i + 1;
+                while j < got.len() && got[j].is_none() {
+                    j += 1;
+                }
+                let a = first + i as u64;
+                let (elements, _) = self.store.read_elements(a, (j - i) as u64, &opts)?;
+                for (k, payload) in elements.into_iter().enumerate() {
+                    let e = a + k as u64;
+                    let payload = Arc::new(payload);
+                    self.cache.insert(e, e / dps, Arc::clone(&payload));
+                    got[i + k] = Some(payload);
+                }
+                i = j;
+            }
+        }
+        // Element `e`'s payload overlaps the request at stream bytes
+        // [max(e*es, abs.offset), min(e*es + len, abs end)).
+        for (e, payload) in (first..).zip(got) {
+            let payload = payload.expect("every miss was read");
             let estart = e * es;
             let s = estart.max(abs.offset);
             let t = (estart + payload.len() as u64).min(abs.offset + abs.len);
             if s < t {
-                out[(s - abs.offset) as usize..(t - abs.offset) as usize]
-                    .copy_from_slice(&payload[(s - estart) as usize..(t - estart) as usize]);
+                out.push(payload, (s - estart) as usize..(t - estart) as usize);
             }
-        };
-        let mut misses: Vec<u64> = Vec::new();
-        for e in first..last {
-            match self.cache.get(e) {
-                Some(payload) => copy_into(out, e, &payload),
-                None => misses.push(e),
-            }
-        }
-        if misses.is_empty() {
-            return Ok(());
-        }
-        let dps = self.store.scheme().data_per_stripe() as u64;
-        let opts = self.read_opts();
-        // Batch contiguous miss runs into single planned reads.
-        let mut i = 0;
-        while i < misses.len() {
-            let a = misses[i];
-            let mut j = i + 1;
-            while j < misses.len() && misses[j] == misses[j - 1] + 1 {
-                j += 1;
-            }
-            let b = misses[j - 1] + 1;
-            let span = ObjectMeta {
-                offset: a * es,
-                len: (b - a) * es,
-            };
-            let (bytes, _) = self.store.read_extent(span, 0, span.len, &opts)?;
-            for (k, chunk) in bytes.chunks_exact(es as usize).enumerate() {
-                let e = a + k as u64;
-                let payload = Arc::new(chunk.to_vec());
-                copy_into(out, e, &payload);
-                self.cache.insert(e, e / dps, payload);
-            }
-            i = j;
         }
         Ok(())
     }

@@ -46,6 +46,7 @@ pub mod error;
 pub mod front;
 pub mod meta;
 pub mod repair;
+pub mod slices;
 pub mod store;
 
 pub use error::StoreError;
@@ -55,4 +56,5 @@ pub use meta::{
     StripeRepair,
 };
 pub use repair::{RepairConfig, RepairManager, RepairProgress, RepairQueue, Replacer};
+pub use slices::Slices;
 pub use store::{ObjectStore, ReadOpts, StripeEvent, StripeListener};

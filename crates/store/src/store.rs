@@ -722,30 +722,62 @@ impl ObjectStore {
         )
     }
 
-    /// The shared read core: `meta.offset` is an *absolute* logical
-    /// stream offset (catalog lookups already applied).
+    /// The byte-range read behind [`Self::get_range`] and
+    /// [`Self::read_extent`]: `meta.offset` is an *absolute* logical
+    /// stream offset (catalog lookups already applied). Reads the covering
+    /// elements through [`Self::read_elements`] and copies the requested
+    /// bytes out of them once.
     fn read_absolute(
         &self,
         meta: ObjectMeta,
         opts: &ReadOpts,
     ) -> Result<(Vec<u8>, ReadStats), StoreError> {
-        let len = meta.len;
+        let (first, last) = meta.element_range(self.element_size);
+        let count = if meta.len == 0 { 0 } else { last - first };
+        let (elements, stats) = self.read_elements(first, count, opts)?;
+        let mut skip = (meta.offset - first * self.element_size as u64) as usize;
+        let mut out = Vec::with_capacity(meta.len as usize);
+        for e in &elements {
+            let s = skip.min(e.len());
+            skip -= s;
+            let take = (meta.len as usize - out.len()).min(e.len() - s);
+            out.extend_from_slice(&e[s..s + take]);
+        }
+        Ok((out, stats))
+    }
+
+    /// Read elements `first..first + count` of the logical stream:
+    /// planned, fetched, footer-verified and — around failed disks —
+    /// decoded. Each element comes back as its own footer-stripped
+    /// buffer, exactly `element_size` bytes: the front door's read
+    /// primitive, which caches and serves these buffers without copying
+    /// them.
+    ///
+    /// # Errors
+    /// [`StoreError::RangeOutOfBounds`] past the logical stream's end;
+    /// otherwise exactly like [`Self::get_range`].
+    pub fn read_elements(
+        &self,
+        first: u64,
+        count: u64,
+        opts: &ReadOpts,
+    ) -> Result<(Vec<Vec<u8>>, ReadStats), StoreError> {
+        let last = first + count;
         let failed = {
             let mut inner = self.inner.lock();
-            let (_, last) = meta.element_range(self.element_size);
             if last > inner.sealed_elements {
                 self.flush_locked(&mut inner);
             }
-            if len > 0 && last > inner.sealed_elements {
+            if count > 0 && last > inner.sealed_elements {
                 return Err(StoreError::RangeOutOfBounds {
-                    name: format!("<extent @{}>", meta.offset),
+                    name: format!("<extent @{}>", first * self.element_size as u64),
                     len: inner.sealed_elements * self.element_size as u64,
                 });
             }
             inner.failed.iter().copied().collect::<Vec<usize>>()
         };
         self.notify();
-        if len == 0 {
+        if count == 0 {
             return Ok((
                 Vec::new(),
                 ReadStats {
@@ -764,24 +796,9 @@ impl ObjectStore {
 
         let t0 = std::time::Instant::now();
         let net_before = self.net_snapshot();
-        let (first, last) = meta.element_range(self.element_size);
-        let count = (last - first) as usize;
-
-        // The requested byte range, relative to the first fetched
-        // element. Elements are copied straight into `out` (no
-        // intermediate flattened buffer) and their scratch buffers
-        // retired to the thread-local pool.
-        let begin = (meta.offset - first * self.element_size as u64) as usize;
-        let end = begin + len as usize;
-        let mut out = vec![0u8; len as usize];
-        let copy_element = |out: &mut [u8], idx: usize, e: &[u8]| {
-            let estart = idx * self.element_size;
-            let s = begin.max(estart);
-            let t = end.min(estart + e.len());
-            if s < t {
-                out[s - begin..t - begin].copy_from_slice(&e[s - estart..t - estart]);
-            }
-        };
+        let count = count as usize;
+        // One slot per demanded element, filled as disks answer.
+        let mut elements: Vec<Vec<u8>> = vec![Vec::new(); count];
 
         // Plan, fetch, and — when a disk stops answering mid-read —
         // mark it suspect and replan degraded around it. Each iteration
@@ -790,7 +807,7 @@ impl ObjectStore {
         // Fetches go out as one vectored request per touched disk
         // (`read_batch_streaming`), and per-disk replies are consumed
         // as they arrive: on the normal path each answering disk's
-        // elements are copied into `out` while slower disks are still
+        // elements drop into their slots while slower disks are still
         // reading; on the degraded path arriving elements accumulate
         // into the assemble map the same way.
         let verify = self.verify_reads.load(Ordering::Relaxed);
@@ -845,7 +862,7 @@ impl ObjectStore {
             let normal = down.is_empty();
             // Degraded reads collect into a map for group decode; the
             // map stays empty on the normal path (fetch i IS demand
-            // element i, copied out directly as its disk answers).
+            // element i, slotted directly as its disk answers).
             let mut fetched: HashMap<Loc, Vec<u8>> = if normal {
                 HashMap::new()
             } else {
@@ -872,13 +889,11 @@ impl ObjectStore {
                             if !ok {
                                 self.metrics.verify_fail.inc();
                                 newly_suspect.insert(addrs[tag].0);
-                                crate::bufpool::give(b);
                                 continue;
                             }
                             b.truncate(self.element_size);
                             if normal {
-                                copy_element(&mut out, tag, &b);
-                                crate::bufpool::give(b);
+                                elements[tag] = b;
                             } else {
                                 fetched.insert(plan.fetches[tag].loc, b);
                             }
@@ -904,7 +919,7 @@ impl ObjectStore {
             }
             if newly_suspect.is_empty() {
                 if !normal {
-                    let elements = self.scheme.assemble_read(
+                    elements = self.scheme.assemble_read(
                         first,
                         count,
                         &fetched,
@@ -912,10 +927,6 @@ impl ObjectStore {
                             .with_cache(&self.decoder_cache)
                             .with_recorder(&self.recorder),
                     )?;
-                    for (idx, e) in elements.into_iter().enumerate() {
-                        copy_element(&mut out, idx, &e);
-                        crate::bufpool::give(e);
-                    }
                 }
                 break plan;
             }
@@ -984,7 +995,7 @@ impl ObjectStore {
             .gauge("io.file_errors")
             .set(ecfrm_sim::file_disk::io_error_count() as i64);
 
-        Ok((out, stats))
+        Ok((elements, stats))
     }
 
     /// All cell addresses of `stripe` in layout order (row by row) —
